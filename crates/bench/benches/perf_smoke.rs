@@ -1,9 +1,6 @@
 //! The `perf-smoke` throughput gate: runs the Fig. 10 sweep at a fixed
-//! scale on one worker twice — once on the scalar path, once with the
-//! lockstep batch engine — writes `BENCH_sim_throughput.json`
-//! (`wishbranch.throughput/v1` for the scalar run plus the flat
-//! `batch_uops_per_sec` / `batch_width` / `batch_speedup` dimension from
-//! the batched run), and fails if either path's simulator throughput
+//! scale on one worker, writes `BENCH_sim_throughput.json`
+//! (`wishbranch.throughput/v1`), and fails if the simulator throughput
 //! regressed more than [`MAX_REGRESSION`] against the committed baseline
 //! (`crates/bench/perf_baseline.json`).
 //!
@@ -19,11 +16,6 @@ use wishbranch_core::{throughput_json, Experiment, ExperimentConfig, SweepRunner
 /// Fixed workload scale: big enough that simulate-phase time dominates
 /// process noise, small enough for a smoke job.
 const SCALE: i32 = 1000;
-
-/// Lockstep lanes for the batched measurement (one Fig. 10 compile group
-/// is 9 benches wide at default width, so 8 keeps one straggler on the
-/// scalar path — the same shape real sweeps see).
-const BATCH: usize = 8;
 
 /// Allowed throughput loss vs the committed baseline (the ISSUE's 25%).
 const MAX_REGRESSION: f64 = 0.25;
@@ -46,56 +38,24 @@ fn json_number(doc: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Runs the Fig. 10 sweep on a fresh single-worker runner with the given
-/// batch width and returns its summary. A fresh runner per measurement
-/// keeps the two passes independent: no journal or compile-cache warmth
-/// leaks from one into the other beyond what both equally enjoy.
-fn measure(ec: &ExperimentConfig, batch: usize) -> wishbranch_core::SweepSummary {
-    let mut runner = SweepRunner::with_workers(ec, 1);
-    runner.set_batch(batch);
-    let report = Experiment::Fig10.run(&runner);
-    if batch <= 1 {
-        println!("{}", report.render());
-    }
-    let failures = runner.failures();
-    assert!(failures.is_empty(), "perf-smoke jobs failed: {failures:?}");
-    runner.summary()
-}
-
 fn main() {
     let ec = ExperimentConfig::paper(SCALE);
-    let scalar = measure(&ec, 1);
-    let batched = measure(&ec, BATCH);
-    assert!(
-        batched.batched_jobs > 0,
-        "batched pass planned no batches: {batched:?}"
-    );
-
-    let s_uops = scalar.uops_per_sec();
-    let b_uops = batched.uops_per_sec();
-    let speedup = b_uops / s_uops;
-    let base = throughput_json(&scalar);
-    let doc = format!(
-        "{},\"batch_uops_per_sec\":{:.6},\"batch_width\":{},\"batch_speedup\":{:.6}}}",
-        base.strip_suffix('}').expect("throughput_json is an object"),
-        b_uops,
-        BATCH,
-        speedup,
-    );
+    let runner = SweepRunner::with_workers(&ec, 1);
+    let report = Experiment::Fig10.run(&runner);
+    println!("{}", report.render());
+    let failures = runner.failures();
+    assert!(failures.is_empty(), "perf-smoke jobs failed: {failures:?}");
+    let summary = runner.summary();
+    let uops = summary.uops_per_sec();
+    let doc = throughput_json(&summary);
 
     let out = std::env::var("WISHBRANCH_THROUGHPUT_OUT")
         .unwrap_or_else(|_| "BENCH_sim_throughput.json".into());
     std::fs::write(&out, format!("{doc}\n")).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
     println!(
-        "perf-smoke: {} jobs, scalar {:.0} uops/s (simulate {:.2}s) | \
-         batch={BATCH} {:.0} uops/s (simulate {:.2}s, {} lanes batched) | \
-         speedup {speedup:.2}x -> {out}",
-        scalar.jobs,
-        s_uops,
-        scalar.simulate_time.as_secs_f64(),
-        b_uops,
-        batched.simulate_time.as_secs_f64(),
-        batched.batched_jobs,
+        "perf-smoke: {} jobs, {uops:.0} uops/s (simulate {:.2}s) -> {out}",
+        summary.jobs,
+        summary.simulate_time.as_secs_f64(),
     );
 
     let baseline = baseline_path();
@@ -108,28 +68,17 @@ fn main() {
     let base_doc = std::fs::read_to_string(&baseline)
         .unwrap_or_else(|e| panic!("no committed baseline at {}: {e}", baseline.display()));
 
-    let mut pass = true;
-    let mut gate = |label: &str, measured: f64, base_key: &str| {
-        let Some(base_rate) = json_number(&base_doc, base_key) else {
-            println!("perf-smoke: baseline has no {base_key}; skipping the {label} gate");
-            return;
-        };
-        let floor = base_rate * (1.0 - MAX_REGRESSION);
-        println!(
-            "perf-smoke: {label} baseline {base_rate:.0} uops/s, floor {floor:.0}, \
-             measured {measured:.0}"
-        );
-        if measured < floor {
-            pass = false;
-            eprintln!(
-                "perf-smoke: {label} throughput regressed >{:.0}%: {measured:.0} uops/s vs \
-                 baseline {base_rate:.0} (floor {floor:.0})",
-                MAX_REGRESSION * 100.0
-            );
-        }
-    };
-    gate("scalar", s_uops, "uops_per_sec");
-    gate("batched", b_uops, "batch_uops_per_sec");
-    assert!(pass, "perf-smoke throughput gate failed");
+    let base_rate = json_number(&base_doc, "uops_per_sec")
+        .unwrap_or_else(|| panic!("baseline {} has no uops_per_sec", baseline.display()));
+    let floor = base_rate * (1.0 - MAX_REGRESSION);
+    println!(
+        "perf-smoke: baseline {base_rate:.0} uops/s, floor {floor:.0}, measured {uops:.0}"
+    );
+    assert!(
+        uops >= floor,
+        "perf-smoke: throughput regressed >{:.0}%: {uops:.0} uops/s vs baseline {base_rate:.0} \
+         (floor {floor:.0})",
+        MAX_REGRESSION * 100.0
+    );
     println!("perf-smoke: PASS");
 }

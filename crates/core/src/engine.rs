@@ -47,14 +47,14 @@ use std::time::{Duration, Instant};
 
 use crate::error::{FaultKind, FaultPlan, JobError, JobFailure};
 use crate::experiment::{
-    lockstep_check, profile_on, simulate_lockstep_pooled, simulate_unverified_pooled,
-    verify_retired_state, ExperimentConfig, RunOutcome,
+    lockstep_applies, lockstep_check, profile_on, simulate_logged, verify_retired_state,
+    ExperimentConfig, RunOutcome,
 };
 use crate::journal::{fnv1a64, JournalError, JournalWriter};
 use crate::store::ArtifactStore;
 use wishbranch_compiler::{compile, compile_adaptive, BinaryVariant, CompileOptions, CompiledBinary};
 use wishbranch_ir::Profile;
-use wishbranch_uarch::{BatchLaneSpec, BatchSimulator, MachineConfig, SimError, SimScratch};
+use wishbranch_uarch::MachineConfig;
 use wishbranch_workloads::{suite, Benchmark, InputSet};
 
 /// Environment variable overriding the worker count.
@@ -186,14 +186,6 @@ struct CompileKey {
     options: OptionsKey,
 }
 
-/// One unit of worker-pool scheduling: a scalar job, or a group of
-/// compatible jobs (same compiled binary) simulated in lockstep by one
-/// [`BatchSimulator`]. Values are positions into the `try_run` job slice.
-enum WorkUnit {
-    Single(usize),
-    Batch(Vec<usize>),
-}
-
 /// The result of one job, in submission order.
 #[derive(Clone, Debug)]
 pub struct JobResult {
@@ -220,14 +212,16 @@ pub struct JobResult {
 /// Per-phase wall-clock breakdown of one job. `acquire` covers the
 /// binary-cache lookup, including any profiling and compilation it
 /// triggered (zero-ish on a cache hit); `simulate` is the cycle
-/// simulation; `verify` is the functional-reference cross-check.
+/// simulation; `verify` is the functional-reference cross-check, preceded
+/// in lockstep-oracle mode by the replay of the retired stream.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct JobPhases {
     /// Binary acquisition: cache lookup + (on miss) profile + compile.
     pub acquire: Duration,
     /// Cycle simulation.
     pub simulate: Duration,
-    /// Architectural verification against the functional reference.
+    /// Architectural verification: the lockstep-oracle replay (oracle
+    /// mode only), then the functional-reference cross-check.
     pub verify: Duration,
 }
 
@@ -279,13 +273,6 @@ pub struct SweepSummary {
     pub sim_cycles: u64,
     /// Retired µops across all executed jobs (journal hits excluded).
     pub sim_uops: u64,
-    /// Configured batch width (lanes per [`wishbranch_uarch::BatchSimulator`]
-    /// group); `1` means every job takes the scalar path.
-    pub batch_size: usize,
-    /// Jobs executed as lanes of a lockstep batch (subset of `jobs`;
-    /// singleton groups and fault-injected jobs fall back to the scalar
-    /// path and are not counted here).
-    pub batched_jobs: u64,
 }
 
 impl SweepSummary {
@@ -372,15 +359,7 @@ pub struct SweepRunner {
     /// Lockstep-oracle mode (`--oracle`): every job's retired stream is
     /// replayed through [`wishbranch_isa::LockstepOracle`].
     oracle: bool,
-    /// Batch width for lockstep simulation (`--batch`); `1` disables
-    /// batching entirely.
-    batch: usize,
     wall_budget: Option<Duration>,
-    /// Recycled simulator buffers, one entry per idle worker: each worker
-    /// checks one out for its whole tour and threads it through every
-    /// scalar-path job it runs, so back-to-back jobs reuse the big
-    /// allocations instead of reallocating them per job.
-    scratch_pool: Mutex<Vec<SimScratch>>,
     journal: Mutex<Option<JournalState>>,
     /// Content-addressed outcome store shared across runs and tenants
     /// (`None` when not serving). Consulted after the journal, before
@@ -402,7 +381,6 @@ pub struct SweepRunner {
     journal_hits: AtomicU64,
     store_hits: AtomicU64,
     store_misses: AtomicU64,
-    batched_jobs: AtomicU64,
     job_time_nanos: AtomicU64,
     wall_nanos: AtomicU64,
     profile_nanos: AtomicU64,
@@ -462,9 +440,7 @@ impl SweepRunner {
             aborted: AtomicBool::new(false),
             retry_limit: 1,
             oracle: false,
-            batch: 1,
             wall_budget: None,
-            scratch_pool: Mutex::new(Vec::new()),
             journal: Mutex::new(None),
             store: None,
             observer: None,
@@ -479,7 +455,6 @@ impl SweepRunner {
             journal_hits: AtomicU64::new(0),
             store_hits: AtomicU64::new(0),
             store_misses: AtomicU64::new(0),
-            batched_jobs: AtomicU64::new(0),
             job_time_nanos: AtomicU64::new(0),
             wall_nanos: AtomicU64::new(0),
             profile_nanos: AtomicU64::new(0),
@@ -523,23 +498,14 @@ impl SweepRunner {
     }
 
     /// Enables lockstep-oracle mode (`--oracle`): every job's simulation
-    /// replays its retired-instruction stream through the in-order
-    /// reference oracle ([`crate::simulate_lockstep`]); a divergence
-    /// surfaces as that job's [`JobError::VerifyDivergence`] — a failed
-    /// cell, gap-rendered like any other — instead of poisoning the sweep.
+    /// collects its retired-instruction stream, and the job's verify phase
+    /// replays it through the in-order reference oracle (as
+    /// [`crate::simulate_lockstep`] does) before the final-state check. A
+    /// divergence surfaces as that job's [`JobError::VerifyDivergence`] —
+    /// a failed cell, gap-rendered like any other — instead of poisoning
+    /// the sweep.
     pub fn set_oracle(&mut self, on: bool) {
         self.oracle = on;
-    }
-
-    /// Sets the lockstep batch width (`--batch N` / `WISHBRANCH_BATCH`).
-    /// With a width above 1, [`try_run`](Self::try_run) groups jobs that
-    /// share a compiled binary into [`BatchSimulator`] batches of up to
-    /// `width` lanes; every lane's result is bit-identical to the scalar
-    /// path. Singleton groups, fault-injected indices, and wall-budgeted
-    /// runs (per-job wall time is not attributable inside a shared batch)
-    /// keep the scalar path. `0` is clamped to 1 (batching off).
-    pub fn set_batch(&mut self, width: usize) {
-        self.batch = width.max(1);
     }
 
     /// Sets a per-job wall-clock budget. The budget is checked *between*
@@ -666,37 +632,23 @@ impl SweepRunner {
         let t0 = Instant::now();
         let n = jobs.len();
         let base = self.next_index.fetch_add(n as u64, Ordering::SeqCst);
-        let units = self.plan_units(&jobs, base);
         let jobs = &jobs;
-        let units = &units;
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<Result<JobResult, JobFailure>>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
-        let workers = self.workers.min(units.len().max(1));
+        let workers = self.workers.min(n.max(1));
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut scratch = self.take_scratch();
-                    loop {
-                        if self.aborted.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let u = next.fetch_add(1, Ordering::Relaxed);
-                        if u >= units.len() {
-                            break;
-                        }
-                        match &units[u] {
-                            WorkUnit::Single(i) => {
-                                let outcome =
-                                    self.run_indexed(&jobs[*i], base + *i as u64, &mut scratch);
-                                *lock_unpoisoned(&slots[*i]) = Some(outcome);
-                            }
-                            WorkUnit::Batch(idxs) => {
-                                self.run_batch(jobs, idxs, base, &slots, &mut scratch);
-                            }
-                        }
+                scope.spawn(|| loop {
+                    if self.aborted.load(Ordering::SeqCst) {
+                        break;
                     }
-                    self.return_scratch(scratch);
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let outcome = self.run_indexed(&jobs[i], base + i as u64);
+                    *lock_unpoisoned(&slots[i]) = Some(outcome);
                 });
             }
         });
@@ -769,62 +721,6 @@ impl SweepRunner {
         failure
     }
 
-    /// Takes a recycled scratch from the pool (or a fresh one) for a
-    /// worker's tour of duty.
-    fn take_scratch(&self) -> SimScratch {
-        lock_unpoisoned(&self.scratch_pool).pop().unwrap_or_default()
-    }
-
-    /// Returns a worker's scratch to the pool at the end of its tour.
-    fn return_scratch(&self, scratch: SimScratch) {
-        lock_unpoisoned(&self.scratch_pool).push(scratch);
-    }
-
-    /// Splits `jobs` into scheduling units. With batching off (width 1)
-    /// or a wall budget set (per-job wall time is not attributable inside
-    /// a shared batch) every job is a [`WorkUnit::Single`]. Otherwise
-    /// jobs sharing a compile key — and therefore a compiled program —
-    /// are grouped in first-seen order and chunked to the batch width.
-    /// Fault-injected indices always keep the scalar path, so the
-    /// injection machinery and its recovery behave exactly as tested.
-    fn plan_units(&self, jobs: &[SweepJob], base: u64) -> Vec<WorkUnit> {
-        if self.batch <= 1 || self.wall_budget.is_some() {
-            return (0..jobs.len()).map(WorkUnit::Single).collect();
-        }
-        let mut units = Vec::new();
-        let mut order: Vec<CompileKey> = Vec::new();
-        let mut groups: HashMap<CompileKey, Vec<usize>> = HashMap::new();
-        for (i, job) in jobs.iter().enumerate() {
-            if self.fault_plan.fault_at(base + i as u64).is_some() {
-                units.push(WorkUnit::Single(i));
-                continue;
-            }
-            let key = CompileKey {
-                bench: job.bench,
-                variant: job.variant,
-                train: job.train.clone(),
-                options: OptionsKey::new(&job.compile),
-            };
-            match groups.get_mut(&key) {
-                Some(members) => members.push(i),
-                None => {
-                    order.push(key.clone());
-                    groups.insert(key, vec![i]);
-                }
-            }
-        }
-        for key in &order {
-            for chunk in groups[key].chunks(self.batch) {
-                if chunk.len() == 1 {
-                    units.push(WorkUnit::Single(chunk[0]));
-                } else {
-                    units.push(WorkUnit::Batch(chunk.to_vec()));
-                }
-            }
-        }
-        units
-    }
-
     /// Serves a job from the attached journal or artifact store, if
     /// present there, with all the counter/notify side effects of that
     /// path. A store consult that misses counts as a store miss.
@@ -871,12 +767,7 @@ impl SweepRunner {
 
     /// One job at its global submission index: journal lookup, fault
     /// injection, panic isolation, bounded retry.
-    fn run_indexed(
-        &self,
-        job: &SweepJob,
-        index: u64,
-        scratch: &mut SimScratch,
-    ) -> Result<JobResult, JobFailure> {
+    fn run_indexed(&self, job: &SweepJob, index: u64) -> Result<JobResult, JobFailure> {
         let fault = self.fault_plan.fault_at(index);
         if fault == Some(FaultKind::Abort) {
             self.aborted.store(true, Ordering::SeqCst);
@@ -885,24 +776,18 @@ impl SweepRunner {
         if let Some(done) = self.cached_lookup(job) {
             return Ok(done);
         }
-        self.run_fresh(job, index, scratch)
+        self.run_fresh(job, index)
     }
 
     /// The execution half of [`run_indexed`](Self::run_indexed) — after
-    /// the journal/store lookups. Also the scalar fallback for batch
-    /// lanes, which have already done (and must not repeat) the lookups.
-    fn run_fresh(
-        &self,
-        job: &SweepJob,
-        index: u64,
-        scratch: &mut SimScratch,
-    ) -> Result<JobResult, JobFailure> {
+    /// the journal/store lookups.
+    fn run_fresh(&self, job: &SweepJob, index: u64) -> Result<JobResult, JobFailure> {
         let fault = self.fault_plan.fault_at(index);
         let mut attempts = 0u32;
         loop {
             attempts += 1;
             let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                self.execute_job(job, fault, scratch)
+                self.execute_job(job, fault)
             }));
             let result = match caught {
                 Ok(result) => result,
@@ -931,181 +816,12 @@ impl SweepRunner {
         }
     }
 
-    /// One planned batch: every live lane simulated in lockstep by a
-    /// single [`BatchSimulator`], preserving the scalar path's semantics
-    /// per job — journal/store lookups first, per-job binary-cache
-    /// accounting, lockstep-oracle replay, architectural verification,
-    /// and [`JobError`] isolation (one faulting lane gaps only its own
-    /// cell). The whole batch is wrapped in `catch_unwind`; on a panic
-    /// every lane reruns on the scalar path, which isolates the panic to
-    /// the one job that caused it.
-    fn run_batch(
-        &self,
-        jobs: &[SweepJob],
-        idxs: &[usize],
-        base: u64,
-        slots: &[Mutex<Option<Result<JobResult, JobFailure>>>],
-        scratch: &mut SimScratch,
-    ) {
-        // Journal/store hits are served first; only the rest become lanes.
-        let mut live: Vec<usize> = Vec::with_capacity(idxs.len());
-        for &i in idxs {
-            match self.cached_lookup(&jobs[i]) {
-                Some(done) => *lock_unpoisoned(&slots[i]) = Some(Ok(done)),
-                None => live.push(i),
-            }
-        }
-        // Acquire the shared binary once per job, so the cache counters
-        // match the scalar path exactly (first lane misses and compiles,
-        // the rest hit). A compile-path failure sends that job down the
-        // scalar path, which reports the memoized error with the usual
-        // record semantics.
-        struct LanePlan {
-            idx: usize,
-            bin: Arc<CompiledBinary>,
-            cache_hit: bool,
-            acquire: Duration,
-        }
-        let mut plans: Vec<LanePlan> = Vec::with_capacity(live.len());
-        for &i in &live {
-            let t0 = Instant::now();
-            match self.binary(&jobs[i]) {
-                Ok((bin, cache_hit)) => plans.push(LanePlan {
-                    idx: i,
-                    bin,
-                    cache_hit,
-                    acquire: t0.elapsed(),
-                }),
-                Err(_) => {
-                    let outcome = self.run_fresh(&jobs[i], base + i as u64, scratch);
-                    *lock_unpoisoned(&slots[i]) = Some(outcome);
-                }
-            }
-        }
-        if plans.len() <= 1 {
-            // Nothing left to share: scalar path.
-            for plan in &plans {
-                let outcome = self.run_fresh(&jobs[plan.idx], base + plan.idx as u64, scratch);
-                *lock_unpoisoned(&slots[plan.idx]) = Some(outcome);
-            }
-            return;
-        }
-        let specs: Vec<BatchLaneSpec<'_>> = plans
-            .iter()
-            .map(|plan| {
-                let job = &jobs[plan.idx];
-                BatchLaneSpec {
-                    program: &plan.bin.program,
-                    cfg: job.machine.clone(),
-                    preload_mem: (self.benches[job.bench].input_fn)(job.input),
-                    retire_log: self.oracle && !job.machine.oracles.no_false_predicate_fetch,
-                }
-            })
-            .collect();
-        let t_sim = Instant::now();
-        let ran = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut batch = BatchSimulator::new(&specs);
-            let results = batch.run();
-            let logs: Vec<Vec<wishbranch_isa::RetireRecord>> =
-                (0..results.len()).map(|lane| batch.take_retire_log(lane)).collect();
-            (results, logs)
-        }));
-        let batch_wall = t_sim.elapsed();
-        let (results, logs) = match ran {
-            Ok(x) => x,
-            Err(_) => {
-                for plan in &plans {
-                    let outcome =
-                        self.run_fresh(&jobs[plan.idx], base + plan.idx as u64, scratch);
-                    *lock_unpoisoned(&slots[plan.idx]) = Some(outcome);
-                }
-                return;
-            }
-        };
-        // The simulate phase was genuinely shared: the summary records
-        // the batch wall once; each job's phase breakdown gets an equal
-        // share of it.
-        self.simulate_nanos
-            .fetch_add(batch_wall.as_nanos() as u64, Ordering::Relaxed);
-        let share = batch_wall / plans.len() as u32;
-        for ((plan, result), records) in plans.iter().zip(results).zip(&logs) {
-            let i = plan.idx;
-            let job = &jobs[i];
-            let filled = match result {
-                Err(SimError::CycleLimitExceeded { limit }) => Err(self.record_failure(
-                    job,
-                    base + i as u64,
-                    JobError::CycleBudgetExceeded { limit },
-                    1,
-                )),
-                Ok(sim) => {
-                    let bench = &self.benches[job.bench];
-                    let t2 = Instant::now();
-                    let checked = if self.oracle && !job.machine.oracles.no_false_predicate_fetch
-                    {
-                        lockstep_check(&plan.bin.program, bench, job.input, &sim, records)
-                    } else {
-                        Ok(())
-                    }
-                    .and_then(|()| verify_retired_state(&plan.bin.program, bench, job.input, &sim));
-                    let verify = t2.elapsed();
-                    match checked {
-                        Err(error) => Err(self.record_failure(job, base + i as u64, error, 1)),
-                        Ok(()) => {
-                            let wall = plan.acquire + share + verify;
-                            self.jobs_run.fetch_add(1, Ordering::Relaxed);
-                            self.batched_jobs.fetch_add(1, Ordering::Relaxed);
-                            self.job_time_nanos
-                                .fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
-                            self.verify_nanos
-                                .fetch_add(verify.as_nanos() as u64, Ordering::Relaxed);
-                            self.sim_cycles.fetch_add(sim.stats.cycles, Ordering::Relaxed);
-                            self.sim_uops
-                                .fetch_add(sim.stats.retired_uops, Ordering::Relaxed);
-                            let done = JobResult {
-                                job: job.clone(),
-                                outcome: RunOutcome {
-                                    sim,
-                                    report: plan.bin.report.clone(),
-                                    static_stats: plan.bin.program.static_stats(),
-                                },
-                                wall,
-                                phases: JobPhases {
-                                    acquire: plan.acquire,
-                                    simulate: share,
-                                    verify,
-                                },
-                                compile_cache_hit: plan.cache_hit,
-                                journal_hit: false,
-                                store_hit: false,
-                            };
-                            self.journal_append(job, &done.outcome);
-                            if let Some(store) = &self.store {
-                                if let Err(e) = store.put(self.job_key(job), &done.outcome) {
-                                    eprintln!("warning: artifact-store write failed: {e}");
-                                }
-                            }
-                            self.notify(&done);
-                            Ok(done)
-                        }
-                    }
-                }
-            };
-            *lock_unpoisoned(&slots[i]) = Some(filled);
-        }
-    }
-
     /// One execution attempt: acquire → simulate → verify, with the
     /// injected fault (if any) applied. Injected faults produce *genuine*
     /// failures — a real panic, a real cycle-budget overrun (tiny
     /// `max_cycles`), a real verify divergence (corrupted retired memory)
     /// — so the whole recovery path is exercised, not a mock of it.
-    fn execute_job(
-        &self,
-        job: &SweepJob,
-        fault: Option<FaultKind>,
-        scratch: &mut SimScratch,
-    ) -> Result<JobResult, JobError> {
+    fn execute_job(&self, job: &SweepJob, fault: Option<FaultKind>) -> Result<JobResult, JobError> {
         if fault == Some(FaultKind::Panic) {
             panic!("injected fault: worker panic");
         }
@@ -1120,17 +836,20 @@ impl SweepRunner {
         } else {
             &job.machine
         };
+        let lockstep = self.oracle && lockstep_applies(machine);
         let t1 = Instant::now();
-        let mut sim = if self.oracle {
-            simulate_lockstep_pooled(&binary.program, bench, job.input, machine, scratch)?
-        } else {
-            simulate_unverified_pooled(&binary.program, bench, job.input, machine, scratch)?
-        };
+        let (mut sim, records) =
+            simulate_logged(&binary.program, bench, job.input, machine, lockstep)?;
         let simulate = t1.elapsed();
+        let t2 = Instant::now();
+        if lockstep {
+            lockstep_check(&binary.program, bench, job.input, &sim, &records)?;
+        }
+        // An injected divergence corrupts the retired state after the
+        // replay, so the final-state check below is what catches it.
         if fault == Some(FaultKind::Diverge) {
             sim.final_mem.insert(u64::MAX, i64::MIN);
         }
-        let t2 = Instant::now();
         verify_retired_state(&binary.program, bench, job.input, &sim)?;
         let verify = t2.elapsed();
         let wall = t0.elapsed();
@@ -1322,8 +1041,6 @@ impl SweepRunner {
             verify_time: Duration::from_nanos(self.verify_nanos.load(Ordering::Relaxed)),
             sim_cycles: self.sim_cycles.load(Ordering::Relaxed),
             sim_uops: self.sim_uops.load(Ordering::Relaxed),
-            batch_size: self.batch,
-            batched_jobs: self.batched_jobs.load(Ordering::Relaxed),
         }
     }
 }

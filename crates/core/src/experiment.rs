@@ -9,8 +9,8 @@ use crate::error::JobError;
 use wishbranch_compiler::{compile, BinaryVariant, CompileOptions, CompiledBinary};
 use wishbranch_ir::{Interpreter, Profile};
 use wishbranch_isa::exec::Machine;
-use wishbranch_isa::Program;
-use wishbranch_uarch::{MachineConfig, SimError, SimResult, SimScratch, Simulator};
+use wishbranch_isa::{Program, RetireRecord};
+use wishbranch_uarch::{MachineConfig, SimError, SimResult, Simulator};
 use wishbranch_workloads::{Benchmark, InputSet};
 
 /// Step budget for the IR profiling interpreter and the functional
@@ -170,9 +170,8 @@ pub fn simulate(
     Ok(result)
 }
 
-/// The cycle simulation alone, without the architectural cross-check —
-/// the [`crate::SweepRunner`] uses this to time the simulate and verify
-/// phases separately. Prefer [`simulate`] unless you verify yourself.
+/// The cycle simulation alone, without the architectural cross-check.
+/// Prefer [`simulate`] unless you verify yourself.
 ///
 /// # Errors
 ///
@@ -184,36 +183,31 @@ pub fn simulate_unverified(
     input: InputSet,
     machine: &MachineConfig,
 ) -> Result<SimResult, JobError> {
-    simulate_unverified_pooled(program, bench, input, machine, &mut SimScratch::default())
+    simulate_logged(program, bench, input, machine, false).map(|(result, _)| result)
 }
 
-/// [`simulate_unverified`] with caller-owned scratch buffers: the
-/// simulator is built with [`Simulator::with_scratch`] and recycled back
-/// into `scratch` afterwards, so a worker running many jobs back to back
-/// reuses its large allocations (decoded µops, ROB, queues) instead of
-/// reallocating them per job. Bit-identical to the unpooled path.
-///
-/// # Errors
-///
-/// [`JobError::CycleBudgetExceeded`] if the simulation exhausts the
-/// machine's cycle budget.
-pub fn simulate_unverified_pooled(
+/// The cycle simulation alone, also returning the retired-instruction
+/// stream when `retire_log` is set (empty otherwise). The
+/// [`crate::SweepRunner`] uses this to time the simulate and verify phases
+/// separately.
+pub(crate) fn simulate_logged(
     program: &Program,
     bench: &Benchmark,
     input: InputSet,
     machine: &MachineConfig,
-    scratch: &mut SimScratch,
-) -> Result<SimResult, JobError> {
-    let inputs = (bench.input_fn)(input);
-    let mut sim = Simulator::with_scratch(program, machine.clone(), scratch);
-    for &(a, v) in &inputs {
+    retire_log: bool,
+) -> Result<(SimResult, Vec<RetireRecord>), JobError> {
+    let mut sim = Simulator::new(program, machine.clone());
+    for (a, v) in (bench.input_fn)(input) {
         sim.preload_mem(a, v);
     }
-    let run = sim.run().map_err(|e| match e {
+    if retire_log {
+        sim.enable_retire_log();
+    }
+    let result = sim.run().map_err(|e| match e {
         SimError::CycleLimitExceeded { limit } => JobError::CycleBudgetExceeded { limit },
-    });
-    sim.recycle(scratch);
-    run
+    })?;
+    Ok((result, sim.take_retire_log()))
 }
 
 /// Simulates `program` with the retired-instruction stream enabled and
@@ -242,37 +236,8 @@ pub fn simulate_lockstep(
     input: InputSet,
     machine: &MachineConfig,
 ) -> Result<SimResult, JobError> {
-    simulate_lockstep_pooled(program, bench, input, machine, &mut SimScratch::default())
-}
-
-/// [`simulate_lockstep`] with caller-owned scratch buffers (see
-/// [`simulate_unverified_pooled`]). Bit-identical to the unpooled path.
-///
-/// # Errors
-///
-/// As [`simulate_lockstep`].
-pub fn simulate_lockstep_pooled(
-    program: &Program,
-    bench: &Benchmark,
-    input: InputSet,
-    machine: &MachineConfig,
-    scratch: &mut SimScratch,
-) -> Result<SimResult, JobError> {
-    let inputs = (bench.input_fn)(input);
-    let mut sim = Simulator::with_scratch(program, machine.clone(), scratch);
-    for &(a, v) in &inputs {
-        sim.preload_mem(a, v);
-    }
-    let lockstep = !machine.oracles.no_false_predicate_fetch;
-    if lockstep {
-        sim.enable_retire_log();
-    }
-    let run = sim.run().map_err(|e| match e {
-        SimError::CycleLimitExceeded { limit } => JobError::CycleBudgetExceeded { limit },
-    });
-    let records = if lockstep { sim.take_retire_log() } else { Vec::new() };
-    sim.recycle(scratch);
-    let result = run?;
+    let lockstep = lockstep_applies(machine);
+    let (result, records) = simulate_logged(program, bench, input, machine, lockstep)?;
     if lockstep {
         lockstep_check(program, bench, input, &result, &records)?;
     }
@@ -280,12 +245,17 @@ pub fn simulate_lockstep_pooled(
     Ok(result)
 }
 
+/// Whether lockstep replay applies to runs on `machine`: every machine
+/// except the NO-FETCH limit study (see [`simulate_lockstep`]).
+pub(crate) fn lockstep_applies(machine: &MachineConfig) -> bool {
+    !machine.oracles.no_false_predicate_fetch
+}
+
 /// Replays a retired-instruction stream through the lockstep reference
 /// oracle and anchors the oracle's final state against the simulator's
 /// retired state. This is the oracle half of [`simulate_lockstep`],
-/// factored out so the batched engine path can run it against a retire
-/// log collected by a [`wishbranch_uarch::BatchSimulator`] lane. Callers
-/// are responsible for skipping it for the NO-FETCH limit machine
+/// factored out so the sweep engine can time it inside its verify phase.
+/// Callers are responsible for skipping it for the NO-FETCH limit machine
 /// (`no_false_predicate_fetch`), whose retired stream is not a contiguous
 /// architectural walk.
 ///
@@ -298,7 +268,7 @@ pub fn lockstep_check(
     bench: &Benchmark,
     input: InputSet,
     result: &SimResult,
-    records: &[wishbranch_isa::RetireRecord],
+    records: &[RetireRecord],
 ) -> Result<(), JobError> {
     let inputs = (bench.input_fn)(input);
     let mut oracle = wishbranch_isa::LockstepOracle::new(program);

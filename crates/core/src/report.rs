@@ -514,12 +514,7 @@ fn push_csv_row(out: &mut String, cells: &[String]) {
 /// object: job counts (including failures, retries and journal hits),
 /// cache statistics, timing, the per-phase host-time breakdown, and the
 /// simulator-throughput block (simulated cycles / retired µops per
-/// host-second of simulate-phase time; journal hits contribute nothing),
-/// and the batch block (`size` = configured lockstep width, `batched_jobs`
-/// = jobs that actually ran in a multi-lane [`BatchSimulator`] round
-/// rather than on the scalar path).
-///
-/// [`BatchSimulator`]: wishbranch_uarch::BatchSimulator
+/// host-second of simulate-phase time; journal hits contribute nothing).
 #[must_use]
 pub fn summary_json(s: &SweepSummary) -> String {
     format!(
@@ -531,8 +526,7 @@ pub fn summary_json(s: &SweepSummary) -> String {
          \"job_time_s\":{},\"wall_time_s\":{},\"parallel_speedup\":{},\
          \"phase_time_s\":{{\"profile\":{},\"compile\":{},\"simulate\":{},\"verify\":{}}},\
          \"sim_throughput\":{{\"sim_cycles\":{},\"retired_uops\":{},\
-         \"cycles_per_sec\":{},\"uops_per_sec\":{}}},\
-         \"batch\":{{\"size\":{},\"batched_jobs\":{}}}}}",
+         \"cycles_per_sec\":{},\"uops_per_sec\":{}}}}}",
         s.jobs,
         s.workers,
         s.failed,
@@ -556,28 +550,22 @@ pub fn summary_json(s: &SweepSummary) -> String {
         s.sim_uops,
         jf(s.cycles_per_sec()),
         jf(s.uops_per_sec()),
-        s.batch_size,
-        s.batched_jobs,
     )
 }
 
 /// Serializes a [`SweepSummary`] to the `wishbranch.throughput/v1`
 /// document the `perf-smoke` gate consumes (`BENCH_sim_throughput.json`):
 /// simulator throughput (cycles/s, µops/s over simulate-phase time), the
-/// raw numerators, the batch dimension (`batch_size`, `batched_jobs`),
-/// and the per-phase host wall-clock.
+/// raw numerators, and the per-phase host wall-clock.
 #[must_use]
 pub fn throughput_json(s: &SweepSummary) -> String {
     format!(
         "{{\"schema\":\"wishbranch.throughput/v1\",\"jobs\":{},\
-         \"batch_size\":{},\"batched_jobs\":{},\
          \"sim_cycles\":{},\"retired_uops\":{},\
          \"cycles_per_sec\":{},\"uops_per_sec\":{},\
          \"phase_wall_s\":{{\"profile\":{},\"compile\":{},\"simulate\":{},\
          \"verify\":{},\"total\":{}}}}}",
         s.jobs,
-        s.batch_size,
-        s.batched_jobs,
         s.sim_cycles,
         s.sim_uops,
         jf(s.cycles_per_sec()),

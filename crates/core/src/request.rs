@@ -52,9 +52,10 @@ pub const REQUEST_SCHEMA: &str = "wishbranch.request/v1";
 /// (moved here from the CLI binary so served requests honor it too).
 pub const FAULT_PLAN_ENV: &str = "WISHBRANCH_FAULT_PLAN";
 
-/// Environment variable consulted when a request carries no `batch`
-/// width. Same precedence chain as `workers` / `fault_plan`: explicit
-/// field, then environment, then the default (1, batching off).
+/// Deprecated: the environment variable that once set the lockstep batch
+/// width. The simulator has one core and no batched mode, so the variable
+/// is no longer read; the name stays exported for one release so callers
+/// that clear or set it keep building.
 pub const BATCH_ENV: &str = "WISHBRANCH_BATCH";
 
 /// Per-request execution budgets. Both reuse the engine's typed
@@ -89,10 +90,9 @@ pub struct SweepRequest {
     pub workers: Option<usize>,
     /// Replay every retired stream through the lockstep oracle.
     pub oracle: bool,
-    /// Lockstep batch width: jobs sharing a compiled binary are simulated
-    /// as lanes of one [`wishbranch_uarch::BatchSimulator`] group of up
-    /// to this many lanes, bit-identically to the scalar path. `None`
-    /// falls back to [`BATCH_ENV`], then 1 (batching off).
+    /// Deprecated and ignored: the former lockstep batch width. Still
+    /// parsed, validated (`0` is a typed error) and serialized for one
+    /// release so existing requests keep working; it changes nothing.
     pub batch: Option<usize>,
     /// Explicit deterministic fault plan; `None` falls back to
     /// [`FAULT_PLAN_ENV`], then no injected faults.
@@ -226,29 +226,6 @@ impl SweepRequest {
         self.workers.unwrap_or_else(default_workers)
     }
 
-    /// The lockstep batch width this request resolves to: the explicit
-    /// field, else a parsed [`BATCH_ENV`], else 1 (batching off).
-    ///
-    /// # Errors
-    ///
-    /// [`RequestError::BadField`] when the environment variable is set
-    /// but not a positive integer (an explicit field never consults it).
-    pub fn resolved_batch(&self) -> Result<usize, RequestError> {
-        if let Some(width) = self.batch {
-            return Ok(width);
-        }
-        match std::env::var(BATCH_ENV) {
-            Ok(value) => match value.parse::<usize>() {
-                Ok(width) if width > 0 => Ok(width),
-                _ => Err(bad_field(
-                    BATCH_ENV,
-                    format!("bad batch width {value:?}: want a positive integer"),
-                )),
-            },
-            Err(_) => Ok(1),
-        }
-    }
-
     /// The fault plan this request resolves to: the explicit field, else
     /// a parsed [`FAULT_PLAN_ENV`], else an empty plan.
     ///
@@ -313,7 +290,6 @@ impl SweepRequest {
         let ec = self.experiment_config();
         let mut runner = SweepRunner::with_workers(&ec, self.resolved_workers());
         runner.set_oracle(self.oracle);
-        runner.set_batch(self.resolved_batch()?);
         runner.set_fault_plan(fault_plan);
         runner.set_wall_budget(self.budgets.wall_ms.map(Duration::from_millis));
         Ok(runner)

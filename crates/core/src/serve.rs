@@ -279,8 +279,6 @@ struct ShardStats {
     profile_misses: u64,
     compile_misses: u64,
     sim_cycles: u64,
-    /// Jobs the shard ran inside multi-lane lockstep batches.
-    batched_jobs: u64,
     /// The raw contents of the shard's `failures` array (no brackets).
     failures_raw: String,
 }
@@ -572,7 +570,6 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                 total.profile_misses += stats.profile_misses;
                 total.compile_misses += stats.compile_misses;
                 total.sim_cycles += stats.sim_cycles;
-                total.batched_jobs += stats.batched_jobs;
                 if !stats.failures_raw.is_empty() {
                     failure_items.push(stats.failures_raw);
                 }
@@ -606,7 +603,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         "{{\"schema\":\"{RESPONSE_SCHEMA}\",\"type\":\"done\",\"jobs\":{},\"failed\":{},\
          \"store_hits\":{},\"store_misses\":{},\"store_quarantined\":{},\
          \"profile_misses\":{},\"compile_misses\":{},\
-         \"sim_cycles\":{},\"batched_jobs\":{},\"failures\":[{}]}}",
+         \"sim_cycles\":{},\"failures\":[{}]}}",
         total.jobs,
         total.failed,
         total.store_hits,
@@ -615,7 +612,6 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         total.profile_misses,
         total.compile_misses,
         total.sim_cycles,
-        total.batched_jobs,
         failure_items.join(",")
     ));
 }
@@ -885,9 +881,6 @@ fn parse_shard_done(line: &str) -> Option<ShardStats> {
         profile_misses: field("profile_misses")?,
         compile_misses: field("compile_misses")?,
         sim_cycles: field("sim_cycles")?,
-        // Absent on done lines written before the batch dimension existed
-        // (e.g. a journal replayed across an upgrade): default to 0.
-        batched_jobs: field("batched_jobs").unwrap_or(0),
         failures_raw,
     })
 }
@@ -1070,7 +1063,7 @@ fn worker_run(spec_line: &str) -> Result<bool, String> {
         "{{\"schema\":\"{RESPONSE_SCHEMA}\",\"type\":\"done\",\"jobs\":{},\"failed\":{},\
          \"store_hits\":{},\"store_misses\":{},\"store_quarantined\":{},\
          \"profile_misses\":{},\"compile_misses\":{},\
-         \"sim_cycles\":{},\"batched_jobs\":{},\"failures\":[{}]}}",
+         \"sim_cycles\":{},\"failures\":[{}]}}",
         s.jobs,
         s.failed,
         s.store_hits,
@@ -1079,7 +1072,6 @@ fn worker_run(spec_line: &str) -> Result<bool, String> {
         s.profile_misses,
         s.compile_misses,
         s.sim_cycles,
-        s.batched_jobs,
         failure_items.join(",")
     );
     Ok(false)
@@ -1160,9 +1152,6 @@ pub enum ResponseLine {
         compile_misses: u64,
         /// Simulated cycles billed to the tenant.
         sim_cycles: u64,
-        /// Jobs that ran inside multi-lane lockstep batches (0 when
-        /// batching is off or the server predates the batch dimension).
-        batched_jobs: u64,
         /// The raw JSON `failures` array (same element shape as the
         /// summary document's failure table).
         failures: String,
@@ -1234,7 +1223,6 @@ impl ResponseLine {
                 profile_misses: num("profile_misses")?,
                 compile_misses: num("compile_misses")?,
                 sim_cycles: num("sim_cycles")?,
-                batched_jobs: num("batched_jobs").unwrap_or(0),
                 failures: {
                     let raw = tail_after("\"failures\":[").ok_or("done line missing failures")?;
                     raw.strip_suffix(']').map(str::to_string).unwrap_or(raw)

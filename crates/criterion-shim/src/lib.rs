@@ -191,7 +191,7 @@ mod tests {
     }
 
     #[test]
-    fn groups_run_batched_benchmarks() {
+    fn groups_measure_iter_batched_benchmarks() {
         let mut c = Criterion::default();
         let mut g = c.benchmark_group("g");
         let mut total = 0u64;

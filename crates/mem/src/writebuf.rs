@@ -8,7 +8,7 @@
 //! completes; drains serialize through the single cache write port the
 //! buffer owns, so entry *k* can never complete before entry *k − 1*. The
 //! whole structure is lazily pruned against the current cycle, which keeps
-//! it usable from the batched core's inert-window fast-forward (no
+//! it usable from the core's inert-span fast-forward (no
 //! per-cycle tick required).
 
 /// FIFO of in-flight store drains, keyed by absolute completion cycle.

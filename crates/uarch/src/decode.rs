@@ -1,20 +1,16 @@
-//! Pre-decoded per-PC program tables, shared between the scalar
-//! [`crate::Simulator`] and the batched [`crate::BatchSimulator`].
+//! Pre-decoded per-PC program tables.
 //!
 //! Everything in a [`DecodedProgram`] is a pure function of the program
-//! text and the *decode-relevant* slice of the machine configuration
-//! (I-cache line size and the DHP knobs). The scalar simulator builds and
-//! owns one per run; the batch simulator builds one per distinct
-//! `(program, decode key)` pair and shares it read-only across all lanes
-//! of a batch — the "one shared pre-decoded µop cache" of the batched
-//! execution mode.
+//! text and the decode-relevant slice of the machine configuration
+//! (I-cache line size and the DHP knobs). [`crate::Simulator::new`] builds
+//! one per run and every pipeline stage reads it.
 
 use wishbranch_isa::{insn_addr, AluOp, BranchKind, Gpr, Insn, InsnKind, PredReg, Program, WishType};
 
 use crate::config::MachineConfig;
 
 /// Execution-latency classes, pre-decoded per PC so the issue stage can
-/// resolve a µop's latency from a per-lane table without re-matching the
+/// resolve a µop's latency from a table without re-matching the
 /// instruction kind. Everything not named here is single-cycle.
 pub(crate) const EC_UNIT: u8 = 0;
 pub(crate) const EC_MUL: u8 = 1;
@@ -59,28 +55,9 @@ pub(crate) struct DhpPlan {
     pub(crate) then: Option<(u32, u32, Option<u32>)>,
 }
 
-/// The decode-relevant slice of a [`MachineConfig`]: two lanes whose
-/// configurations agree on these fields can share one [`DecodedProgram`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) struct DecodeKey {
-    pub(crate) line_bytes: u64,
-    pub(crate) dhp_enabled: bool,
-    pub(crate) dhp_max_block: u32,
-}
-
-impl DecodeKey {
-    pub(crate) fn of(cfg: &MachineConfig) -> DecodeKey {
-        DecodeKey {
-            line_bytes: cfg.mem.icache.line_bytes as u64,
-            dhp_enabled: cfg.dhp_enabled,
-            dhp_max_block: cfg.dhp_max_block,
-        }
-    }
-}
-
-/// A program pre-decoded against one [`DecodeKey`]: per-PC static facts,
-/// static DHP hammock plans, and the wish-loop PC set.
-#[derive(Clone, Debug, Default)]
+/// A program pre-decoded against one machine configuration: per-PC static
+/// facts, static DHP hammock plans, and the wish-loop PC set.
+#[derive(Clone, Debug)]
 pub(crate) struct DecodedProgram {
     /// Pre-decoded static info per pc (same length as the program).
     pub(crate) pcs: Vec<PcInfo>,
@@ -89,36 +66,25 @@ pub(crate) struct DecodedProgram {
     /// The pcs of wish-loop branches (the only populated slots of the
     /// per-PC last-prediction buffer — drives the flush-time purge).
     pub(crate) wish_loop_pcs: Vec<u32>,
-    /// Program entry point.
-    pub(crate) entry: u32,
 }
 
 impl DecodedProgram {
-    /// Decodes `program` under `cfg`'s [`DecodeKey`].
+    /// Decodes `program` under `cfg`.
     pub(crate) fn build(program: &Program, cfg: &MachineConfig) -> DecodedProgram {
-        let mut d = DecodedProgram::default();
-        d.rebuild(program, cfg);
-        d
-    }
-
-    /// Refills `self` from `program`, reusing the existing table
-    /// allocations (the `SimScratch` recycling path).
-    pub(crate) fn rebuild(&mut self, program: &Program, cfg: &MachineConfig) {
-        let key = DecodeKey::of(cfg);
         let n = program.len();
-        self.pcs.clear();
-        self.pcs.reserve(n);
-        self.dhp_plans.clear();
-        self.dhp_plans.resize(n, None);
-        self.wish_loop_pcs.clear();
-        self.entry = program.entry();
+        let line_bytes = cfg.mem.icache.line_bytes as u64;
+        let mut d = DecodedProgram {
+            pcs: Vec::with_capacity(n),
+            dhp_plans: vec![None; n],
+            wish_loop_pcs: Vec::new(),
+        };
         for pc in 0..n as u32 {
             let insn = *program.get(pc).expect("pc < program.len()");
             let def_preds = insn.def_preds();
             let is_branch = insn.is_branch();
             let info = PcInfo {
                 insn,
-                line: insn_addr(pc) / key.line_bytes,
+                line: insn_addr(pc) / line_bytes,
                 is_branch,
                 is_cond_branch: insn.is_conditional_branch(),
                 is_halt: matches!(insn.kind, InsnKind::Halt),
@@ -141,19 +107,14 @@ impl DecodedProgram {
                 },
             };
             if info.is_cond_branch && insn.wish == Some(WishType::Loop) {
-                self.wish_loop_pcs.push(pc);
+                d.wish_loop_pcs.push(pc);
             }
-            if key.dhp_enabled && info.is_cond_branch {
-                self.dhp_plans[pc as usize] =
-                    dhp_plan_static(program, key.dhp_max_block, pc, &insn);
+            if cfg.dhp_enabled && info.is_cond_branch {
+                d.dhp_plans[pc as usize] = dhp_plan_static(program, cfg.dhp_max_block, pc, &insn);
             }
-            self.pcs.push(info);
+            d.pcs.push(info);
         }
-    }
-
-    /// Program length (number of decoded PCs).
-    pub(crate) fn len(&self) -> usize {
-        self.pcs.len()
+        d
     }
 }
 

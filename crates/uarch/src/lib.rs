@@ -54,7 +54,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod config;
 mod core;
 mod decode;
@@ -62,8 +61,7 @@ mod emu;
 mod stats;
 pub mod trace;
 
-pub use batch::{BatchLaneSpec, BatchSimulator};
 pub use config::{MachineConfig, OracleConfig, PredMechanism};
-pub use core::{SimError, SimResult, SimScratch, Simulator};
-pub use stats::{CycleAccounting, HotSiteCounts, LoopExitClass, SimStats, WishClassCounts};
+pub use core::{SimError, SimResult, Simulator};
+pub use stats::{CycleAccounting, HotSiteCounts, SimStats, WishClassCounts};
 pub use trace::{render_trace, TraceEvent, TraceKind};

@@ -26,18 +26,6 @@ impl WishClassCounts {
     }
 }
 
-/// How a mispredicted low-confidence wish loop resolved (§3.2).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum LoopExitClass {
-    /// Fewer iterations fetched than needed: flush.
-    EarlyExit,
-    /// A few extra iterations fetched, front end already out: no flush —
-    /// the case where wish loops win.
-    LateExit,
-    /// Front end still spinning in the loop: flush.
-    NoExit,
-}
-
 /// Where every cycle of a run went: each simulated cycle is attributed to
 /// **exactly one** category, so `total()` equals `SimStats::cycles` — a
 /// hard invariant the test suite enforces for every benchmark × variant.

@@ -2,7 +2,7 @@
 //! the command line, locally or against a sweep server.
 //!
 //! ```text
-//! USAGE: wishbranch-repro [--scale N] [--workers N] [--batch N] [--json]
+//! USAGE: wishbranch-repro [--scale N] [--workers N] [--json]
 //!                         [--quick] [--report-dir DIR] [--resume] [--strict]
 //!                         [--oracle] [--fault-plan SPEC] [--tenant T]
 //!                         [--train A|B|C] [--budget-cycles N]
@@ -23,10 +23,10 @@
 //! is submitted to a server (`client`), or arrives over a socket
 //! (`serve`). Worker count resolves explicit `--workers` →
 //! `WISHBRANCH_WORKERS` → available parallelism; the fault plan resolves
-//! explicit `--fault-plan` → `WISHBRANCH_FAULT_PLAN` → none; the lockstep
-//! batch width resolves explicit `--batch` → `WISHBRANCH_BATCH` → 1
-//! (batching off). Batched lanes are bit-identical to scalar runs — the
-//! knob only changes throughput.
+//! explicit `--fault-plan` → `WISHBRANCH_FAULT_PLAN` → none. The retired
+//! `--batch N` flag (and `WISHBRANCH_BATCH`) is still accepted for one
+//! release and ignored: the simulator has a single core and no batched
+//! mode.
 //!
 //! Output modes:
 //!
@@ -90,7 +90,7 @@ use wishbranch_workloads::{suite, InputSet};
 fn usage() -> ! {
     let ids: Vec<&str> = Experiment::ALL.iter().map(|e| e.id()).collect();
     eprintln!(
-        "USAGE: wishbranch-repro [--scale N] [--workers N] [--batch N] [--json] [--quick]\n\
+        "USAGE: wishbranch-repro [--scale N] [--workers N] [--json] [--quick]\n\
                                  [--report-dir DIR] [--resume] [--strict] [--oracle]\n\
                                  [--fault-plan SPEC] [--tenant T] [--train A|B|C]\n\
                                  [--budget-cycles N] [--budget-wall-ms N] <experiment>...\n\
@@ -164,6 +164,7 @@ fn parse_sweep_args(args: Vec<String>) -> (SweepRequest, LocalOpts) {
                         .unwrap_or_else(|| usage()),
                 );
             }
+            // Deprecated: parsed and validated, then ignored.
             "--batch" => {
                 req.batch = Some(
                     it.next()

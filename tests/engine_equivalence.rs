@@ -159,3 +159,31 @@ proptest! {
         prop_assert_eq!(got, expect);
     }
 }
+
+/// Lockstep-oracle mode only adds checking: every job's `SimResult` is
+/// the one a plain sweep computes, on the flat and the non-blocking
+/// memory model alike.
+#[test]
+fn oracle_mode_sweep_matches_plain_sweep() {
+    let ec = ExperimentConfig::quick(30);
+    let mut realistic = ec.machine.clone();
+    realistic.mem.realistic = true;
+    let mut jobs = Vec::new();
+    for input in InputSet::ALL {
+        let job = SweepJob::standard(1, BinaryVariant::WishJumpJoinLoop, input, &ec);
+        jobs.push(job.clone().with_machine(realistic.clone()));
+        jobs.push(job);
+    }
+
+    let plain = SweepRunner::with_workers(&ec, 1)
+        .run(jobs.clone())
+        .expect("plain sweep");
+    let mut oracle_runner = SweepRunner::with_workers(&ec, 1);
+    oracle_runner.set_oracle(true);
+    let checked = oracle_runner.run(jobs).expect("oracle sweep");
+
+    for (i, (p, c)) in plain.iter().zip(&checked).enumerate() {
+        assert_eq!(p.outcome.sim, c.outcome.sim, "job {i}: oracle mode changed the result");
+    }
+    assert_eq!(oracle_runner.summary().failed, 0);
+}

@@ -13,11 +13,13 @@
 
 use proptest::prelude::*;
 use wishbranch_compiler::BinaryVariant;
+use wishbranch_core::journal::fnv1a64;
 use wishbranch_core::{
-    compile_adaptive_variant, compile_variant, simulate, Experiment, ExperimentConfig, FigureData,
-    Report, ReportData, SweepRunner,
+    compile_adaptive_variant, compile_variant, simulate, trace_binary, Experiment,
+    ExperimentConfig, FigureData, Report, ReportData, SweepRunner,
 };
-use wishbranch_uarch::{MachineConfig, PredMechanism, SimResult};
+use wishbranch_isa::Program;
+use wishbranch_uarch::{render_trace, MachineConfig, PredMechanism, SimResult, Simulator};
 use wishbranch_workloads::{suite, InputSet};
 
 const SCALE: i32 = 150;
@@ -552,6 +554,346 @@ fn regenerate_random_job_goldens() {
     println!("const RJ_GOLDEN: [u64; RJ_CASES as usize] = [");
     for case in 0..RJ_CASES {
         println!("    {:#018x},", run_random_job(case));
+    }
+    println!("];");
+}
+
+// ---------------------------------------------------------------------------
+// Third golden lane: verdicts captured from the scalar pipeline.
+//
+// The simulator once had two cores — a scalar pipeline and the lane
+// engine — kept equal by batched-vs-scalar tests. Before the scalar
+// pipeline was deleted, its verdicts on those tests' cases were captured
+// here, so the one remaining core is held to them byte for byte. Each
+// fingerprint is FNV-1a-64 over the `Debug` text of the whole run result
+// (deterministic: every map in `SimResult` is a `BTreeMap`), followed by
+// the `Debug` text of every retire record and the rendered pipeview trace
+// where the case collects them.
+//
+// To regenerate after an *intended* architected change:
+//   cargo test --release --test golden_figures regenerate_scalar_core_goldens -- --ignored --nocapture
+
+/// Scale of the scalar-core golden jobs.
+const SC_SCALE: i32 = 40;
+
+/// The seeded `(seed, lanes)` matrix the batched-vs-scalar suite drew.
+const SC_MATRIX: [(u64, usize); 5] = [(0, 1), (1, 2), (2, 3), (3, 5), (4, 8)];
+
+/// Number of jobs in the seeded matrix (the sum of its lane counts).
+const SC_MATRIX_JOBS: usize = 19;
+
+/// The `wishbranch-repro trace` cases: benchmark index and variant, traced
+/// on input B at [`SC_TRACE_SCALE`] on the paper machine.
+const SC_TRACES: [(usize, BinaryVariant); 3] = [
+    (0, BinaryVariant::WishJumpJoinLoop),
+    (4, BinaryVariant::BaseMax),
+    (7, BinaryVariant::WishAdaptive),
+];
+
+/// Scale of the traced cases (the CLI defaults to 200; traces get long).
+const SC_TRACE_SCALE: i32 = 20;
+
+/// Scalar-pipeline fingerprints, keyed by case label.
+const SC_GOLDEN: [(&str, u64); 30] = [
+    ("matrix s0 #0", 0xcabc_154c_d6d3_d164),
+    ("matrix s1 #0", 0x139c_6366_0d1e_5ff3),
+    ("matrix s1 #1", 0x9b05_355b_5905_6b75),
+    ("matrix s2 #0", 0x9d23_8ae6_e788_933f),
+    ("matrix s2 #1", 0xde82_8d46_61a3_d1f0),
+    ("matrix s2 #2", 0xb84c_9ee5_75f4_196c),
+    ("matrix s3 #0", 0x72aa_d509_40ea_27cb),
+    ("matrix s3 #1", 0xc3c7_4436_e9b7_2998),
+    ("matrix s3 #2", 0xcb2a_278e_1e26_a74a),
+    ("matrix s3 #3", 0xae2c_b179_715b_22b6),
+    ("matrix s3 #4", 0x9ac5_c741_0193_525d),
+    ("matrix s4 #0", 0xe290_6c46_5132_abe1),
+    ("matrix s4 #1", 0x06ae_afc0_32ad_3791),
+    ("matrix s4 #2", 0x62b6_1dd0_122d_1a67),
+    ("matrix s4 #3", 0xca00_071f_125f_9ab2),
+    ("matrix s4 #4", 0x6d5a_d5c6_7f66_7fd3),
+    ("matrix s4 #5", 0xfb51_f445_9eb8_0fb7),
+    ("matrix s4 #6", 0x8d62_9d75_11ea_2a13),
+    ("matrix s4 #7", 0x8291_eead_bc22_ee1f),
+    ("imiss nonblocking", 0xe5f7_9b70_a83b_1883),
+    ("imiss no-iprefetch", 0xd6e9_16a4_bc03_8063),
+    ("imiss tight-imshr", 0x167e_b995_7dbe_06d1),
+    ("imiss realistic-preset", 0xe5f7_9b70_a83b_1883),
+    ("imiss flat", 0x0d9f_b8b1_8ea3_d9d4),
+    ("straggler short", 0xbecc_ff6d_a3b5_7118),
+    ("straggler long", 0xa990_6845_ea67_8f3b),
+    ("retire-log", 0x1674_93d3_a75f_a4fc),
+    ("trace b0 wish-jjl", 0xdabc_e2f4_bb4a_643b),
+    ("trace b4 BASE-MAX", 0x83ea_1810_dc60_cf48),
+    ("trace b7 wish-adaptive", 0x6b61_bb17_0719_d5dd),
+];
+
+/// The committed scalar-pipeline fingerprint of case `label`.
+fn sc_golden(label: &str) -> u64 {
+    SC_GOLDEN
+        .iter()
+        .find(|(l, _)| *l == label)
+        .unwrap_or_else(|| panic!("no scalar-core golden for {label:?}"))
+        .1
+}
+
+/// One job of the seeded matrix drawn from the stream: bench index,
+/// variant, input and a machine mixing every mechanism and all three
+/// memory models.
+fn sc_random_job(st: &mut u64) -> (usize, BinaryVariant, InputSet, MachineConfig) {
+    let mut pick = |n: u64| splitmix64(st) % n;
+    let bench = pick(9) as usize;
+    let variant = [
+        BinaryVariant::NormalBranch,
+        BinaryVariant::BaseDef,
+        BinaryVariant::BaseMax,
+        BinaryVariant::WishJumpJoin,
+        BinaryVariant::WishJumpJoinLoop,
+    ][pick(5) as usize];
+    let input = [InputSet::A, InputSet::B, InputSet::C][pick(3) as usize];
+    let mut m = MachineConfig {
+        pipeline_depth: [5, 10, 30][pick(3) as usize],
+        rob_size: [32, 128, 512][pick(3) as usize],
+        ..MachineConfig::default()
+    };
+    if pick(2) == 0 {
+        m.pred_mechanism = PredMechanism::SelectUop;
+    }
+    match pick(5) {
+        0 => m.oracles.perfect_confidence = true,
+        1 => m.oracles.perfect_branch_prediction = true,
+        2 => m.oracles.no_pred_dependencies = true,
+        3 => {
+            m.oracles.no_pred_dependencies = true;
+            m.oracles.no_false_predicate_fetch = true;
+        }
+        _ => {}
+    }
+    if pick(4) == 0 {
+        m.dhp_enabled = true;
+    }
+    if pick(4) == 0 && !m.dhp_enabled {
+        m.predicate_prediction = true;
+    }
+    if pick(3) == 0 {
+        m.wish_loop_predictor = Some(Default::default());
+    }
+    match pick(3) {
+        0 => {}
+        1 => m.mem.max_outstanding_misses = 2,
+        _ => {
+            m.mem.realistic = true;
+            if pick(2) == 0 {
+                m.mem.write_buffer_entries = [2, 4][pick(2) as usize];
+            }
+            if pick(2) == 0 {
+                m.mem.data_ports = [1, 2][pick(2) as usize];
+            }
+            if pick(2) == 0 {
+                m.mem.iprefetch = false;
+            }
+            if pick(3) == 0 {
+                m.mem.i_mshrs = 1;
+            }
+        }
+    }
+    (bench, variant, input, m)
+}
+
+/// The seeded matrix, in stream order, with each job's label.
+fn sc_matrix() -> Vec<(String, usize, BinaryVariant, InputSet, MachineConfig)> {
+    let mut jobs = Vec::with_capacity(SC_MATRIX_JOBS);
+    for (seed, lanes) in SC_MATRIX {
+        let mut st = 0xba7c_4_u64 ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        for lane in 0..lanes {
+            let (b, v, i, m) = sc_random_job(&mut st);
+            jobs.push((format!("matrix s{seed} #{lane}"), b, v, i, m));
+        }
+    }
+    assert_eq!(jobs.len(), SC_MATRIX_JOBS);
+    jobs
+}
+
+/// Runs `program` on `cfg` and fingerprints the run result, plus the
+/// retire log when `retire_log` is set.
+fn sc_run(program: &Program, cfg: &MachineConfig, preload: &[(u64, i64)], retire_log: bool) -> u64 {
+    let mut sim = Simulator::new(program, cfg.clone());
+    for &(a, v) in preload {
+        sim.preload_mem(a, v);
+    }
+    if retire_log {
+        sim.enable_retire_log();
+    }
+    let mut text = format!("{:?}", sim.run());
+    for record in sim.take_retire_log() {
+        text.push_str(&format!("\n{record:?}"));
+    }
+    fnv1a64(text.as_bytes())
+}
+
+/// Fingerprint of matrix job `i`.
+fn sc_matrix_job(i: usize) -> (String, u64) {
+    let ec = ExperimentConfig::quick(SC_SCALE);
+    let benches = suite(SC_SCALE);
+    let (label, b, v, input, cfg) = sc_matrix().swap_remove(i);
+    let bin = compile_variant(&benches[b], v, &ec).expect("compile");
+    (label, sc_run(&bin.program, &cfg, &(benches[b].input_fn)(input), false))
+}
+
+/// A code footprint spanning many cold I-cache lines, run twice over (a
+/// cold pass and a warm pass, with a mispredictable exit branch).
+fn sc_imiss_program() -> Program {
+    use wishbranch_isa::{AluOp, BranchKind, CmpOp, Gpr, Insn, Operand, PredReg, ProgramBuilder};
+    let r = Gpr::new;
+    let mut b = ProgramBuilder::new();
+    let top = b.label("top");
+    let done = b.label("done");
+    b.push(Insn::mov_imm(r(1), 0));
+    b.bind(top);
+    for _ in 0..512 {
+        b.push(Insn::alu(AluOp::Add, r(2), r(2), Operand::imm(1)));
+    }
+    b.push(Insn::alu(AluOp::Add, r(1), r(1), Operand::imm(1)));
+    b.push(Insn::cmp(CmpOp::Eq, PredReg::new(1), r(1), Operand::imm(2)));
+    b.push_cond_branch(PredReg::new(1), true, done, None);
+    b.push_branch_to(Insn::branch(BranchKind::Uncond, 0), top);
+    b.bind(done);
+    b.push(Insn::halt());
+    b.build()
+}
+
+/// The I-side configurations the footprint runs under.
+fn sc_imiss_configs() -> Vec<(&'static str, MachineConfig)> {
+    let realistic = |f: &dyn Fn(&mut MachineConfig)| {
+        let mut m = MachineConfig::default();
+        m.mem.realistic = true;
+        f(&mut m);
+        m
+    };
+    let mut preset = MachineConfig::default();
+    preset.mem = wishbranch_mem::MemConfig::realistic_preset();
+    vec![
+        ("imiss nonblocking", realistic(&|_| {})),
+        ("imiss no-iprefetch", realistic(&|m| m.mem.iprefetch = false)),
+        ("imiss tight-imshr", realistic(&|m| m.mem.i_mshrs = 1)),
+        ("imiss realistic-preset", preset),
+        ("imiss flat", MachineConfig::default()),
+    ]
+}
+
+/// The straggler pair: benchmark 0 as wish-jj on input A at the golden
+/// scale and at 100× it.
+fn sc_straggler_jobs() -> Vec<(&'static str, u64)> {
+    [("straggler short", SC_SCALE), ("straggler long", SC_SCALE * 100)]
+        .into_iter()
+        .map(|(label, scale)| {
+            let ec = ExperimentConfig::quick(scale);
+            let bench = &suite(scale)[0];
+            let bin = compile_variant(bench, BinaryVariant::WishJumpJoin, &ec).expect("compile");
+            let preload = (bench.input_fn)(InputSet::A);
+            (label, sc_run(&bin.program, &MachineConfig::default(), &preload, false))
+        })
+        .collect()
+}
+
+/// The retire-log case: benchmark 2 as wish-jjl on input C.
+fn sc_retire_log_job() -> u64 {
+    let ec = ExperimentConfig::quick(SC_SCALE);
+    let bench = &suite(SC_SCALE)[2];
+    let bin = compile_variant(bench, BinaryVariant::WishJumpJoinLoop, &ec).expect("compile");
+    sc_run(&bin.program, &MachineConfig::default(), &(bench.input_fn)(InputSet::C), true)
+}
+
+/// Fingerprint of trace case `i`: what `wishbranch-repro trace` computes
+/// (the verified result and its rendered event stream).
+fn sc_trace_job(i: usize) -> (String, u64) {
+    let (b, variant) = SC_TRACES[i];
+    let ec = ExperimentConfig::paper(SC_TRACE_SCALE);
+    let bench = &suite(SC_TRACE_SCALE)[b];
+    let (result, events) = trace_binary(bench, variant, InputSet::B, &ec).expect("trace");
+    let text = format!("{result:?}\n{}", render_trace(&events));
+    (format!("trace b{b} {}", variant.label()), fnv1a64(text.as_bytes()))
+}
+
+/// Every job of the seeded matrix matches the scalar pipeline's verdict.
+#[test]
+fn seeded_lane_matrix_matches_scalar_goldens() {
+    for i in 0..SC_MATRIX_JOBS {
+        let (label, got) = sc_matrix_job(i);
+        assert_eq!(got, sc_golden(&label), "{label}: diverged from the scalar pipeline");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Property flavor: a randomly sampled matrix job.
+    #[test]
+    fn sampled_scalar_golden_case_matches(i in 0usize..SC_MATRIX_JOBS) {
+        let (label, got) = sc_matrix_job(i);
+        prop_assert_eq!(got, sc_golden(&label));
+    }
+}
+
+/// The I-miss-heavy footprint matches the scalar pipeline under every
+/// I-side configuration, and the hierarchy runs really stall on
+/// non-blocking I-fills.
+#[test]
+fn imiss_heavy_jobs_match_scalar_goldens() {
+    let program = sc_imiss_program();
+    for (label, cfg) in sc_imiss_configs() {
+        let mut sim = Simulator::new(&program, cfg.clone());
+        let acc = sim.run().expect("halts").stats.cycle_accounting;
+        if cfg.mem.realistic {
+            assert!(acc.imiss_pending > 0, "{label}: no non-blocking I-fill stalls: {acc:?}");
+        } else {
+            assert_eq!(acc.imiss_pending, 0, "{label}");
+        }
+        let got = sc_run(&program, &cfg, &[], false);
+        assert_eq!(got, sc_golden(label), "{label}: diverged from the scalar pipeline");
+    }
+}
+
+/// A short run and one with 100× the work both match the scalar pipeline.
+#[test]
+fn straggler_jobs_match_scalar_goldens() {
+    for (label, got) in sc_straggler_jobs() {
+        assert_eq!(got, sc_golden(label), "{label}: diverged from the scalar pipeline");
+    }
+}
+
+/// The retire log (the lockstep oracle's input) matches the scalar
+/// pipeline's record for record.
+#[test]
+fn retire_log_matches_scalar_golden() {
+    assert_eq!(sc_retire_log_job(), sc_golden("retire-log"));
+}
+
+/// `wishbranch-repro trace` output matches the scalar pipeline's.
+#[test]
+fn trace_streams_match_scalar_goldens() {
+    for i in 0..SC_TRACES.len() {
+        let (label, got) = sc_trace_job(i);
+        assert_eq!(got, sc_golden(&label), "{label}: diverged from the scalar pipeline");
+    }
+}
+
+/// Regeneration helper (ignored): prints the scalar-core golden table.
+#[test]
+#[ignore = "golden generator, run manually with --nocapture"]
+fn regenerate_scalar_core_goldens() {
+    let mut rows: Vec<(String, u64)> = (0..SC_MATRIX_JOBS).map(sc_matrix_job).collect();
+    let program = sc_imiss_program();
+    for (label, cfg) in sc_imiss_configs() {
+        rows.push((label.to_string(), sc_run(&program, &cfg, &[], false)));
+    }
+    rows.extend(sc_straggler_jobs().into_iter().map(|(l, h)| (l.to_string(), h)));
+    rows.push(("retire-log".to_string(), sc_retire_log_job()));
+    rows.extend((0..SC_TRACES.len()).map(sc_trace_job));
+    println!("const SC_GOLDEN: [(&str, u64); {}] = [", rows.len());
+    for (label, h) in rows {
+        let hex = format!("{h:016x}");
+        let groups: Vec<&str> = (0..4).map(|i| &hex[i * 4..i * 4 + 4]).collect();
+        println!("    ({label:?}, 0x{}),", groups.join("_"));
     }
     println!("];");
 }

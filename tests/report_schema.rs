@@ -5,7 +5,8 @@
 //! updated, not that the emitter is free to drift.
 
 use wishbranch_core::{
-    summary_json, AblationPoint, Experiment, ExperimentConfig, Report, ReportData, SweepRunner,
+    summary_json, AblationPoint, Experiment, ExperimentConfig, Report, ReportData, SweepRequest,
+    SweepRunner,
 };
 
 /// A minimal JSON well-formedness checker (no external crates available):
@@ -211,8 +212,6 @@ fn summary_json_matches_schema_snapshot() {
         "\"retired_uops\":",
         "\"cycles_per_sec\":",
         "\"uops_per_sec\":",
-        "\"batch\":{\"size\":",
-        "\"batched_jobs\":",
     ] {
         assert!(json.contains(key), "summary JSON missing {key}");
     }
@@ -223,27 +222,27 @@ fn summary_json_matches_schema_snapshot() {
     assert!(s.sim_uops > 0, "{s:?}");
     assert!(s.cycles_per_sec() > 0.0, "{s:?}");
     assert!(s.uops_per_sec() > 0.0, "{s:?}");
-    // Batching was off for this runner: the dimension is still present,
-    // reporting width 1 and zero batched jobs.
-    assert!(json.contains("\"batch\":{\"size\":1,\"batched_jobs\":0}"), "{json}");
 }
 
 #[test]
-fn batched_runner_reports_batch_dimension() {
-    let ec = ExperimentConfig::quick(40);
-    let mut runner = SweepRunner::with_workers(&ec, 2);
-    runner.set_batch(4);
+fn deprecated_batch_field_is_accepted_and_ignored() {
+    // The request `batch` field outlived the batched mode it configured:
+    // it still parses (a zero is still refused), builds the same runner,
+    // and no report carries a batch dimension any more.
+    let parsed = SweepRequest::parse(
+        "{\"schema\":\"wishbranch.request/v1\",\"experiments\":[\"fig10\"],\
+         \"scale\":40,\"quick\":true,\"workers\":2,\"batch\":4}",
+    )
+    .expect("the batch field still parses");
+    assert_eq!(parsed.batch, Some(4));
+    let runner = parsed.build_runner().expect("the batch field is ignored, not refused");
     let _ = Experiment::Fig10.run(&runner);
     let s = runner.summary();
-    assert_eq!(s.batch_size, 4);
-    assert!(s.batched_jobs > 0, "fig10 grid must produce batched lanes: {s:?}");
-    let json = summary_json(&s);
-    assert_valid_json(&json);
-    assert!(json.contains("\"batch\":{\"size\":4,\"batched_jobs\":"), "{json}");
-    let tj = wishbranch_core::throughput_json(&s);
-    assert_valid_json(&tj);
-    assert!(tj.contains("\"batch_size\":4"), "{tj}");
-    assert!(tj.contains("\"batched_jobs\":"), "{tj}");
+    assert!(s.jobs > 0, "{s:?}");
+    for json in [summary_json(&s), wishbranch_core::throughput_json(&s)] {
+        assert_valid_json(&json);
+        assert!(!json.contains("batch"), "{json}");
+    }
 }
 
 #[test]
